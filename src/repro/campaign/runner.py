@@ -36,7 +36,8 @@ cost optimizations on top, none of which can change a result:
 * for a cold fleet the runner executes one *scout* shard per platform
   first, then fans the rest out with warm brackets — which is where the
   order-of-magnitude evaluation saving of ``bench_adaptive_search`` comes
-  from.
+  from.  Every worker count runs this same wave plan, so even the
+  evaluation accounting is independent of the schedule.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,7 +56,7 @@ from repro.fpga.platform import FpgaChip
 from repro.fpga.voltage import DEFAULT_STEP_V, VCCBRAM, VCCINT
 from repro.harness.sweep import UndervoltingExperiment
 from repro.obs import trace as obs_trace
-from repro.obs.progress import EventStream, callback_shim
+from repro.obs.progress import EventStream
 from repro.search import EvalCache, WarmStartModel, merge_search_documents
 
 from .spec import CampaignError, CampaignSpec, WorkUnit
@@ -280,8 +281,6 @@ def _execute_shard(
     name: str,
     root: str,
     warm_document: Optional[Dict[str, Any]] = None,
-    on_unit: Optional[Callable[[str, Dict[str, Any]], None]] = None,
-    warm_model: Optional[WarmStartModel] = None,
 ) -> List[Tuple[str, Dict[str, Any]]]:
     """Run one die's units back to back (the worker-side entry point).
 
@@ -299,11 +298,7 @@ def _execute_shard(
     cache: Optional[EvalCache] = None
     if adaptive and units:
         cache = store.load_eval_cache(units[0].platform, units[0].serial)
-    if warm_model is not None:
-        # In-process callers (the serial path) share one live model, so
-        # every die after the first starts from the population so far.
-        warm = warm_model
-    elif warm_document is not None:
+    if warm_document is not None:
         warm = WarmStartModel.from_dict(warm_document)
     else:
         warm = WarmStartModel(step_v=DEFAULT_STEP_V)
@@ -321,8 +316,6 @@ def _execute_shard(
                     store.save_eval_cache(cache)
                 store.save(result)
             executed.append((result.unit_id, result.summary.get("search", {})))
-            if on_unit is not None:
-                on_unit(result.unit_id, result.summary.get("search", {}))
     return executed
 
 
@@ -399,8 +392,8 @@ def warm_model_from_store(
     return model
 
 
-def _scout_waves(
-    shards: List[Tuple[WorkUnit, ...]], warm: WarmStartModel
+def _waves(
+    shards: List[Tuple[WorkUnit, ...]], warm: Optional[WarmStartModel]
 ) -> List[List[Tuple[WorkUnit, ...]]]:
     """Split shards into a scout wave and the warm remainder.
 
@@ -408,8 +401,11 @@ def _scout_waves(
     first (the *scouts*); every other shard then starts from the scouts'
     discovered quantiles.  Platforms already represented in the model — a
     resumed campaign, or a fleet sharing its store with an earlier one —
-    need no scout and go straight to the warm wave.
+    need no scout and go straight to the warm wave.  Without a warm model
+    (campaigns that do not warm-start) every shard runs in one wave.
     """
+    if warm is None:
+        return [shards] if shards else []
     known = {platform for (platform, _rail) in warm.observations}
     scouts: "OrderedDict[str, Tuple[WorkUnit, ...]]" = OrderedDict()
     rest: List[Tuple[WorkUnit, ...]] = []
@@ -419,25 +415,24 @@ def _scout_waves(
             scouts[platform] = shard
         else:
             rest.append(shard)
-    waves = []
-    if scouts:
-        waves.append(list(scouts.values()))
-    if rest:
-        waves.append(rest)
-    return waves
+    return [wave for wave in (list(scouts.values()), rest) if wave]
 
 
 def run_campaign(
     spec: CampaignSpec,
     root: "str | os.PathLike" = DEFAULT_ROOT,
     max_workers: Optional[int] = None,
-    use_processes: bool = True,
-    progress: Optional[Callable[[str, int, int], None]] = None,
-    scheduler: Optional[str] = None,
+    scheduler: str = "process",
     store_version: Optional[int] = None,
     events: Optional[EventStream] = None,
 ) -> CampaignRunReport:
     """Run (or resume) a campaign, persisting every unit as it completes.
+
+    Every worker count and scheduler runs the same wave plan through
+    :class:`repro.exec.WorkScheduler` — for adaptive guardband campaigns a
+    scout wave of one cold die per platform, then every other die warm-
+    started from the store — so the report, ``evaluations`` accounting
+    included, does not depend on how many workers ran it.
 
     Parameters
     ----------
@@ -447,35 +442,21 @@ def run_campaign(
         Directory the result store lives under (default ``campaigns/``).
     max_workers:
         Worker cap; defaults to ``min(n_shards, cpu_count)``.  ``1`` (or
-        the serial scheduler) runs everything in this process.
-    use_processes:
-        Legacy knob: ``False`` forces the serial scheduler.  Prefer
-        ``scheduler``.
-    progress:
-        Optional callback ``(unit_id, n_done, n_total)`` fired as units
-        complete — per unit when running serially, per finished shard when
-        running parallel (workers persist their own units; the parent only
-        learns of them when a shard resolves).  The CLI uses it for live
-        status lines.  Kept as a compatibility shim: it is subscribed to
-        the run's event stream via
-        :func:`repro.obs.progress.callback_shim`.
-    events:
-        Optional :class:`repro.obs.progress.EventStream` receiving
-        ``campaign.progress`` events (fields ``unit_id``/``done``/
-        ``pending``) as units complete; the run builds a private stream
-        when none is given.  Every event is also recorded on the active
-        trace recorder.
+        the serial scheduler) runs the plan in this process.
     scheduler:
         Shard scheduling substrate from :data:`repro.exec.SCHEDULERS`
-        (``serial`` / ``thread`` / ``process``); defaults to ``process``
-        (or ``serial`` when ``use_processes`` is false).
+        (``serial`` / ``thread`` / ``process``; default ``process``).
     store_version:
         On-disk layout for a *fresh* campaign (``1`` per-unit files, ``2``
         segmented columnar; default v1).  An existing store keeps its
         version — asking for a conflicting one raises.
+    events:
+        Optional :class:`repro.obs.progress.EventStream` receiving
+        ``campaign.progress`` events (fields ``unit_id``/``done``/
+        ``pending``), one burst per finished die; the run builds a private
+        stream when none is given.  Every event is also recorded on the
+        active trace recorder.
     """
-    if scheduler is None:
-        scheduler = "process" if use_processes else "serial"
     try:
         scheduler = validate_scheduler(scheduler)
     except ExecError as exc:
@@ -491,66 +472,42 @@ def run_campaign(
         max_workers = min(len(shards), os.cpu_count() or 1) or 1
     if max_workers < 1:
         raise CampaignError("max_workers must be at least 1")
-    serial = scheduler == "serial" or max_workers == 1 or len(shards) <= 1
+    jobs = 1 if scheduler == "serial" else max(1, min(max_workers, len(shards)))
+    work = WorkScheduler(scheduler=scheduler, jobs=jobs)
 
-    executed: List[str] = []
-    search_documents: List[Dict[str, Any]] = []
     stream = events if events is not None else EventStream()
-    if progress is not None:
-        stream.subscribe(callback_shim(progress))
+    n_done = 0
 
-    def _record(results: Sequence[Tuple[str, Dict[str, Any]]]) -> None:
-        for unit_id, search_document in results:
-            executed.append(unit_id)
-            search_documents.append(search_document)
+    def _progress(_index: int, results: Sequence[Tuple[str, Dict[str, Any]]]) -> None:
+        nonlocal n_done
+        for unit_id, _search in results:
+            n_done += 1
             stream.emit(
-                "campaign.progress",
-                unit_id=unit_id,
-                done=len(executed),
-                pending=len(pending),
+                "campaign.progress", unit_id=unit_id, done=n_done, pending=len(pending)
             )
 
     warm_starting = spec.search == "adaptive" and spec.sweep == "guardband"
     warm = warm_model_from_store(store, spec) if warm_starting else None
-
+    # Shard results in submission order: the report must not depend on
+    # which worker finished first.
+    finished: List[Tuple[str, Dict[str, Any]]] = []
     with obs_trace.span(
         "campaign.run", name=spec.name, sweep=spec.sweep, search=spec.search
     ):
-        if serial:
-            n_workers = 1
-            scheduler = "serial"
-            # One live warm model, shared across shards: every die after the
-            # first of its platform starts from the population so far (each
-            # shard's _run_guardband feeds its thresholds back via warm.add).
-            for shard in shards:
-                _execute_shard(
-                    shard,
-                    spec.name,
-                    str(root),
-                    on_unit=lambda unit_id, doc: _record([(unit_id, doc)]),
-                    warm_model=warm,
-                )
-        else:
-            n_workers = min(max_workers, len(shards))
-            waves = _scout_waves(shards, warm) if warm is not None else [shards]
-            # One worker pool for the whole run: the context manager keeps it
-            # alive across the scout and warm waves.
-            with WorkScheduler(scheduler=scheduler, jobs=n_workers) as work:
-                for wave_index, wave in enumerate(waves):
-                    if warm_starting and wave_index > 0:
-                        warm = warm_model_from_store(store, spec)
-                    warm_document = warm.to_dict() if warm is not None else None
-                    with obs_trace.span(
-                        "campaign.wave", wave=wave_index, n_shards=len(wave)
+        # One worker pool for the whole run: the context manager keeps it
+        # alive across the scout and warm waves.
+        with work:
+            for wave_index, wave in enumerate(_waves(shards, warm)):
+                if warm_starting and wave_index > 0:
+                    warm = warm_model_from_store(store, spec)
+                warm_document = warm.to_dict() if warm is not None else None
+                with obs_trace.span("campaign.wave", wave=wave_index, n_shards=len(wave)):
+                    for results in work.map_tasks(
+                        _execute_shard,
+                        [(shard, spec.name, str(root), warm_document) for shard in wave],
+                        on_result=_progress,
                     ):
-                        work.map_tasks(
-                            _execute_shard,
-                            [
-                                (shard, spec.name, str(root), warm_document)
-                                for shard in wave
-                            ],
-                            on_result=lambda _index, results: _record(results),
-                        )
+                        finished.extend(results)
 
     bundle_file: Optional[str] = None
     if spec.governor_bundle and store.status(spec).is_complete:
@@ -563,12 +520,13 @@ def run_campaign(
         name=spec.name,
         spec_hash=spec.spec_hash,
         n_units=len(all_units),
-        executed=tuple(executed),
+        executed=tuple(unit_id for unit_id, _search in finished),
         skipped=skipped,
-        n_workers=n_workers,
+        n_workers=jobs,
         search=spec.search,
-        scheduler=scheduler,
-        evaluations=merge_search_documents(search_documents),
+        # The substrate that actually ran: one job runs in this process.
+        scheduler="serial" if work.is_serial else scheduler,
+        evaluations=merge_search_documents(search for _unit_id, search in finished),
         governor_bundle=bundle_file,
         store_version=store.store_version,
     )

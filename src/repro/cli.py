@@ -59,6 +59,7 @@ from repro.campaign import (
     run_campaign,
 )
 from repro.exec import ExecError, ExecutionEngine, ReplayBackend, SCHEDULERS
+from repro.obs.progress import EventStream, ProgressEvent
 from repro.search import SEARCH_MODES, EvalCache, merge_search_documents
 from repro.core import cached_fault_field
 from repro.core.characterization import (
@@ -68,6 +69,7 @@ from repro.core.characterization import (
     variability_study,
 )
 from repro.fpga import FpgaChip, platform_names
+from repro.fpga.bram import BramError, data_pattern
 from repro.harness import UndervoltingExperiment
 from repro.runtime.governor import POLICY_NAMES
 from repro.runtime.workload import TRACE_KINDS
@@ -198,10 +200,8 @@ def _add_backend_arguments(
                        "(--replay-store)" if replay else "")
         ),
     )
-    jobs_flags = ["--jobs"] + (["--workers"] if default == "process" else [])
     parser.add_argument(
-        *jobs_flags,
-        dest="jobs",
+        "--jobs",
         type=int,
         default=None,
         help="worker threads/processes for the parallel backends "
@@ -312,12 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_search_argument(run, default=None)  # None: honour the spec's knob
     _add_backend_arguments(run, default="process")
     _add_obs_arguments(run)
-    run.add_argument(
-        "--no-processes",
-        action="store_true",
-        help="execute serially in this process (legacy alias for "
-        "--backend serial)",
-    )
     run.add_argument(
         "--store-version",
         type=int,
@@ -584,8 +578,6 @@ def _resolved_jobs(args: argparse.Namespace) -> int:
     CPU — asking for ``--backend thread`` must never silently run serial.
     """
     if args.jobs is not None:
-        if args.jobs < 1:
-            raise ExecError("--jobs must be at least 1")
         return args.jobs
     if args.backend in ("thread", "process"):
         return os.cpu_count() or 1
@@ -873,6 +865,15 @@ def _resolve_spec(args: argparse.Namespace) -> CampaignSpec:
     return open_store(args.name, args.root).load_manifest()
 
 
+def _print_campaign_progress(event: ProgressEvent) -> None:
+    """One stderr line per finished unit (they arrive one die at a time)."""
+    fields = event.fields
+    print(
+        f"  [{fields['done']}/{fields['pending']}] unit {fields['unit_id']} done",
+        file=sys.stderr,
+    )
+
+
 def _cmd_campaign_run(args: argparse.Namespace) -> int:
     spec = _resolve_spec(args)
     if args.search and args.search != spec.search:
@@ -880,16 +881,16 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
         # therefore the store identity, includes the search mode).
         spec = dataclasses.replace(spec, search=args.search)
 
-    def progress(unit_id: str, done: int, total: int) -> None:
-        print(f"  [{done}/{total}] unit {unit_id} done", file=sys.stderr)
-
+    events = EventStream()
+    if not args.json:
+        events.subscribe(_print_campaign_progress)
     report = run_campaign(
         spec,
         root=args.root,
         max_workers=args.jobs,
-        scheduler="serial" if args.no_processes else args.backend,
-        progress=None if args.json else progress,
+        scheduler=args.backend,
         store_version=args.store_version,
+        events=events,
     )
     if args.json:
         _emit_json(report.to_dict())
@@ -1088,8 +1089,6 @@ def _cmd_runtime_run(args: argparse.Namespace) -> int:
         core=args.sim_core,
     )
     policies = list(POLICY_NAMES) if args.policy == "all" else [args.policy]
-    if args.sim_jobs < 1:
-        raise ExecError("--sim-jobs must be at least 1")
     logs = simulator.run_policies(
         policies,
         scheduler="process" if args.sim_jobs > 1 else "serial",
@@ -1520,11 +1519,37 @@ def _install_observability(args: argparse.Namespace):
     return teardown
 
 
+#: Count flags (by argparse ``dest``) that must be at least 1.
+_COUNT_FLAGS = ("jobs", "runs", "steps", "dies", "sim_jobs")
+
+
+def _flag_problem(args: argparse.Namespace) -> Optional[str]:
+    """What is wrong with a parsed flag value, naming the flag as typed.
+
+    Checked before any command runs, so a bad value fails as one line
+    instead of a traceback from deep inside the model.
+    """
+    for dest in _COUNT_FLAGS:
+        value = getattr(args, dest, None)
+        if value is not None and value < 1:
+            return f"--{dest.replace('_', '-')} must be at least 1"
+    if getattr(args, "pattern", None) is not None:
+        try:
+            data_pattern(args.pattern, rows=1)
+        except BramError as error:
+            return f"--pattern: {error}"
+    return None
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point of the ``repro-undervolt`` console script."""
     global _COMMAND_T0
     parser = build_parser()
     args = parser.parse_args(argv)
+    problem = _flag_problem(args)
+    if problem is not None:
+        print(f"error: {problem}", file=sys.stderr)
+        return 2
     _COMMAND_T0 = time.perf_counter()
     teardown = _install_observability(args)
     try:

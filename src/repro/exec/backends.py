@@ -316,25 +316,34 @@ UndervoltingExperiment` would build, and the experiment shares its
         program the rail, count faults over ``n_runs`` read-back passes
         while the design operates, read the rail power — so the exhaustive
         walk and the bisection probes produce bit-identical data at every
-        voltage either of them visits.  Mutates the simulated hardware;
-        the engine therefore never schedules probes onto workers.
+        voltage either of them visits.  Faults are counted for the
+        requested pattern and temperature, whatever the BRAMs last held.
+        Mutates the simulated hardware; the engine therefore never
+        schedules probes onto workers.
         """
         _vmin_true, vcrash_true = rail_thresholds(self.calibration, request.rail)
         voltage = request.voltage_v
         operational = voltage >= vcrash_true - 1e-9
         if request.rail == VCCBRAM:
             self.chip.set_vccbram(max(voltage, 0.40))
-            counts = (
-                [int(c) for c in self.host.count_chip_faults_over_runs(request.n_runs)]
-                if operational
-                else []
-            )
+            counts = []
+            if operational:
+                self.host.device.check_operational()
+                counts = [
+                    int(c)
+                    for c in self.fault_field.counts_over_runs(
+                        self.chip.vccbram,
+                        request.n_runs,
+                        temperature_c=request.temperature_c,
+                        pattern=request.pattern,
+                    )
+                ]
         else:
             self.chip.set_vccint(max(voltage, 0.40))
             counts = [self._int_fault_count(voltage)] * request.n_runs if operational else []
         return PointEvaluation(
             voltage_v=voltage,
-            temperature_c=self.chip.board_temperature_c,
+            temperature_c=request.temperature_c,
             rail=request.rail,
             pattern=request.pattern_text,
             n_runs=request.n_runs,

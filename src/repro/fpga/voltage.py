@@ -15,6 +15,7 @@ equality with the setpoint.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional
 
@@ -99,11 +100,14 @@ class VoltageRail:
     def read(self) -> float:
         """Read the rail back, with a deterministic sub-millivolt ripple.
 
-        The ripple is a fixed function of the setpoint so repeated reads are
-        stable (the measurement loop takes medians anyway) while still not
-        being bit-identical to the setpoint.
+        The ripple is a fixed function of the rail and setpoint so repeated
+        reads are stable (the measurement loop takes medians anyway) while
+        still not being bit-identical to the setpoint.  A ``hashlib``
+        digest, unlike the salted built-in ``hash()``, keeps it the same in
+        every process.
         """
-        ripple = ((hash((self.name, round(self.setpoint_v * 1000))) % 7) - 3) * 1e-4
+        key = f"{self.name}:{round(self.setpoint_v * 1000)}".encode()
+        ripple = ((int.from_bytes(hashlib.sha256(key).digest()[:8], "big") % 7) - 3) * 1e-4
         return round(self.setpoint_v + ripple, 6)
 
     @property

@@ -34,7 +34,7 @@ from .metrics import (
     enable,
     get_registry,
 )
-from .progress import EventStream, ProgressEvent, callback_shim
+from .progress import EventStream, ProgressEvent
 from .summarize import (
     TraceError,
     load_trace,
@@ -70,7 +70,6 @@ __all__ = [
     "bind_engine_counters",
     "bind_service_stats",
     "build_info",
-    "callback_shim",
     "disable",
     "enable",
     "event",

@@ -1,12 +1,9 @@
-"""The campaign progress event stream (successor to the bare callback).
+"""The campaign progress event stream.
 
-:func:`repro.campaign.runner.run_campaign` used to report progress through
-an ad-hoc ``progress(unit_id, n_done, n_pending)`` callable.  The runner
-now publishes :class:`ProgressEvent` records to an :class:`EventStream`,
-which both forwards each event to the active trace recorder (as a
-``campaign.progress`` trace event) and fans it out to any subscribers.
-The old callback survives as a shim — :func:`callback_shim` adapts it to a
-subscriber — so existing callers and tests pass unchanged.
+:func:`repro.campaign.runner.run_campaign` publishes :class:`ProgressEvent`
+records to an :class:`EventStream`, which both forwards each event to the
+active trace recorder (as a ``campaign.progress`` trace event) and fans it
+out to any subscribers (the CLI's stderr progress lines are one).
 """
 
 from __future__ import annotations
@@ -59,22 +56,4 @@ class EventStream:
         return event
 
 
-def callback_shim(
-    progress: Callable[[str, int, int], None],
-) -> Callable[[ProgressEvent], None]:
-    """Adapt a legacy ``progress(unit_id, n_done, n_pending)`` callback to
-    an :class:`EventStream` subscriber listening for ``campaign.progress``."""
-
-    def subscriber(event: ProgressEvent) -> None:
-        if event.name != "campaign.progress":
-            return
-        progress(
-            event.fields.get("unit_id", ""),
-            int(event.fields.get("done", 0)),
-            int(event.fields.get("pending", 0)),
-        )
-
-    return subscriber
-
-
-__all__ = ["EventStream", "ProgressEvent", "callback_shim"]
+__all__ = ["EventStream", "ProgressEvent"]

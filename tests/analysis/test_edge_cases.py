@@ -110,7 +110,7 @@ class TestSingleChipFleet:
 
     def test_single_chip_campaign_report(self, tmp_path):
         spec = one_chip_spec("edge-single")
-        run_campaign(spec, root=tmp_path, use_processes=False)
+        run_campaign(spec, root=tmp_path, scheduler="serial")
         report = build_report(CampaignStore(spec.name, tmp_path), spec)
         assert report.n_completed == 1
         payload = report.to_dict()
@@ -121,7 +121,7 @@ class TestSingleChipFleet:
 
     def test_single_chip_fvm_campaign_has_no_similarity_block(self, tmp_path):
         spec = one_chip_spec("edge-single-fvm", sweep="fvm")
-        run_campaign(spec, root=tmp_path, use_processes=False)
+        run_campaign(spec, root=tmp_path, scheduler="serial")
         payload = build_report(CampaignStore(spec.name, tmp_path), spec).to_dict()
         assert "fvm_similarity" not in payload
 

@@ -86,7 +86,7 @@ class TestFleet16AdaptivePath:
             store_version=parallel_version,
         )
         run_campaign(
-            serial_spec, root=tmp_path, use_processes=False,
+            serial_spec, root=tmp_path, scheduler="serial",
             store_version=serial_version,
         )
         parallel = {

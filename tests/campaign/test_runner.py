@@ -18,6 +18,7 @@ from repro.campaign.runner import _shards
 from repro.fpga import FpgaChip
 from repro.fpga.voltage import VCCBRAM, VCCINT
 from repro.harness import UndervoltingExperiment
+from repro.obs import EventStream
 
 ZC702_STOCK_SERIAL = "630851561533-44019"
 
@@ -132,7 +133,7 @@ class TestRunCampaign:
     def test_process_parallel_matches_serial_results(self, tmp_path):
         spec = two_chip_spec(name="runner-parallel")
         serial_spec = two_chip_spec(name="runner-serial")
-        run_campaign(spec, root=tmp_path, max_workers=2, use_processes=True)
+        run_campaign(spec, root=tmp_path, max_workers=2, scheduler="process")
         run_campaign(serial_spec, root=tmp_path, max_workers=1)
         parallel_store = CampaignStore(spec.name, tmp_path)
         serial_store = CampaignStore(serial_spec.name, tmp_path)
@@ -143,12 +144,11 @@ class TestRunCampaign:
 
     def test_progress_callback_fires_per_unit(self, tmp_path):
         spec = two_chip_spec(name="runner-progress")
+        stream = EventStream(record_trace=False)
         seen = []
-        run_campaign(
-            spec, root=tmp_path, max_workers=1,
-            progress=lambda unit_id, done, total: seen.append((unit_id, done, total)),
-        )
-        assert [(done, total) for _, done, total in seen] == [(1, 2), (2, 2)]
+        stream.subscribe(lambda event: seen.append(event.fields))
+        run_campaign(spec, root=tmp_path, max_workers=1, events=stream)
+        assert [(f["done"], f["pending"]) for f in seen] == [(1, 2), (2, 2)]
 
     def test_rejects_zero_workers(self, tmp_path):
         with pytest.raises(CampaignError):

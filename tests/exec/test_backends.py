@@ -97,6 +97,26 @@ class TestSimulatedBackend:
         point = backend.evaluate(request)
         assert not point.operational and point.counts == ()
 
+    def test_probe_answers_for_the_requested_pattern_and_temperature(self):
+        backend = SimulatedBackend(chip=FpgaChip.build("ZC702"))
+        backend.host.initialize_brams(0xFFFF)
+        voltage = round(backend.calibration.vcrash_bram_v + 0.01, 4)
+        field = backend.fault_field
+        for temperature in (backend.chip.board_temperature_c, 70.0):
+            point = backend.evaluate(EvalRequest(
+                kind=PROBE, rail=VCCBRAM, voltage_v=voltage,
+                temperature_c=temperature, pattern=0xAAAA, n_runs=3,
+            ))
+            expected = field.counts_over_runs(
+                voltage, 3, temperature_c=temperature, pattern=0xAAAA
+            )
+            stored = field.counts_over_runs(
+                voltage, 3, temperature_c=temperature, pattern=0xFFFF
+            )
+            assert point.counts == tuple(int(c) for c in expected)
+            assert point.counts != tuple(int(c) for c in stored)
+            assert point.temperature_c == temperature
+
     def test_region_rejects_vccint(self, backend):
         with pytest.raises(ExecError):
             backend.evaluate(

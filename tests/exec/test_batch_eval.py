@@ -158,9 +158,8 @@ class TestReplayBatchEquivalence:
     @settings(max_examples=20, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     def test_replay_batches_serve_the_recording(self, requests):
-        # A probe records the chip's *board* temperature (it ignores the
-        # requested one), so replaying it is only a store hit at that
-        # temperature — pin probe requests there.
+        # Probes run at the board temperature, the only one the guardband
+        # drivers ever send — pin probe requests there.
         board_t = backend().chip.board_temperature_c
         requests = [
             request if request.kind != PROBE

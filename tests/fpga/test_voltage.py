@@ -1,5 +1,10 @@
 """Tests for voltage rails and the regulator model."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -56,6 +61,24 @@ class TestVoltageRail:
         first, second = rail.read(), rail.read()
         assert first == second
         assert abs(first - 0.61) < 0.001
+
+    def test_read_does_not_depend_on_the_hash_seed(self):
+        # String hashing is salted per process; the ripple must not be.
+        script = (
+            "from repro.fpga.voltage import VoltageRail\n"
+            "rail = VoltageRail(name='VCCBRAM')\n"
+            "rail.set(0.57)\n"
+            "print(repr(rail.read()))\n"
+        )
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        readings = set()
+        for seed in ("1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+            readings.add(subprocess.run(
+                [sys.executable, "-c", script], env=env, check=True,
+                capture_output=True, text=True,
+            ).stdout)
+        assert len(readings) == 1
 
     def test_inconsistent_limits_rejected(self):
         with pytest.raises(VoltageError):

@@ -2,12 +2,12 @@
 
 The scenario the store's resume semantics exist for: a fleet campaign is
 started, killed mid-flight, resumed from the command line, and reported.
-The interruption is simulated by raising out of the runner's progress
-callback after a few units — exactly the state a SIGKILL between two unit
-commits leaves behind (completed units committed, the rest absent).  The
-resumed adaptive run must skip the committed units, re-evaluate nothing
-that the per-die caches already hold, and the final ``report --json`` must
-aggregate all chips.
+The interruption is simulated by raising out of a subscriber to the
+runner's progress events after a few units — exactly the state a SIGKILL
+between two unit commits leaves behind (completed units committed, the
+rest absent).  The resumed adaptive run must skip the committed units,
+re-evaluate nothing that the per-die caches already hold, and the final
+``report --json`` must aggregate all chips.
 """
 
 import json
@@ -16,6 +16,7 @@ import pytest
 
 from repro.campaign import CampaignSpec, CampaignStore, run_campaign
 from repro.cli import main
+from repro.obs import EventStream
 
 
 class InterruptedMidCampaign(RuntimeError):
@@ -48,14 +49,14 @@ class TestInterruptedCampaignResume:
         spec = CampaignSpec.from_json(spec_file.read_text())
 
         # --- first run, killed after a few units -------------------------
-        def die_after_some(unit_id, done, total):
-            if done >= self.INTERRUPT_AFTER:
-                raise InterruptedMidCampaign(unit_id)
+        def die_after_some(event):
+            if event.fields["done"] >= self.INTERRUPT_AFTER:
+                raise InterruptedMidCampaign(event.fields["unit_id"])
 
+        events = EventStream(record_trace=False)
+        events.subscribe(die_after_some)
         with pytest.raises(InterruptedMidCampaign):
-            run_campaign(
-                spec, root=root, use_processes=False, progress=die_after_some
-            )
+            run_campaign(spec, root=root, scheduler="serial", events=events)
 
         store = CampaignStore(spec.name, root)
         committed = store.completed_ids()
@@ -70,7 +71,7 @@ class TestInterruptedCampaignResume:
         # --- resume through the CLI --------------------------------------
         resumed = run_json(capsys, [
             "campaign", "run", "--spec", str(spec_file), "--root", str(root),
-            "--no-processes", "--json",
+            "--backend", "serial", "--json",
         ])
         assert resumed["n_skipped"] == len(committed)
         assert resumed["n_executed"] == spec.n_units - len(committed)
@@ -83,7 +84,7 @@ class TestInterruptedCampaignResume:
         # --- a second resume is a no-op with zero evaluations ------------
         noop = run_json(capsys, [
             "campaign", "run", "--spec", str(spec_file), "--root", str(root),
-            "--no-processes", "--json",
+            "--backend", "serial", "--json",
         ])
         assert noop["n_executed"] == 0
         assert noop["n_skipped"] == spec.n_units
@@ -107,7 +108,7 @@ class TestInterruptedCampaignResume:
         """A unit killed after probing but before committing costs nothing."""
         root = tmp_path / "campaigns"
         spec = CampaignSpec.from_json(spec_file.read_text())
-        report = run_campaign(spec, root=root, use_processes=False)
+        report = run_campaign(spec, root=root, scheduler="serial")
         assert report.evaluations["n_evaluations"] > 0
 
         # Simulate the worst interruption: every commit marker lost, caches
@@ -116,7 +117,7 @@ class TestInterruptedCampaignResume:
         for marker in store.units_dir.glob("*.json"):
             marker.unlink()
 
-        rerun = run_campaign(spec, root=root, use_processes=False)
+        rerun = run_campaign(spec, root=root, scheduler="serial")
         assert len(rerun.executed) == spec.n_units
         assert rerun.evaluations["n_evaluations"] == 0
         assert rerun.evaluations["n_cache_hits"] > 0

@@ -1,9 +1,9 @@
-"""Tests for the progress event stream and the legacy-callback shim."""
+"""Tests for the campaign progress event stream."""
 
 import json
 
 from repro.campaign import CampaignSpec, ChipGroup, run_campaign
-from repro.obs import EventStream, ProgressEvent, callback_shim, install_trace, reset_recorder
+from repro.obs import EventStream, ProgressEvent, install_trace, reset_recorder
 
 
 class TestEventStream:
@@ -47,24 +47,6 @@ class TestEventStream:
         assert recorder.enabled
 
 
-class TestCallbackShim:
-    def test_shim_translates_progress_events(self):
-        calls = []
-        subscriber = callback_shim(
-            lambda unit_id, done, pending: calls.append((unit_id, done, pending))
-        )
-        subscriber(ProgressEvent(
-            "campaign.progress", {"unit_id": "u1", "done": 1, "pending": 4}
-        ))
-        assert calls == [("u1", 1, 4)]
-
-    def test_shim_ignores_other_events(self):
-        calls = []
-        subscriber = callback_shim(lambda *args: calls.append(args))
-        subscriber(ProgressEvent("campaign.wave", {"wave": 0}))
-        assert calls == []
-
-
 ZC702_STOCK_SERIAL = "630851561533-44019"
 
 
@@ -77,20 +59,15 @@ class TestRunCampaignIntegration:
             runs_per_step=3,
         )
 
-    def test_legacy_progress_callback_still_fires(self, tmp_path):
+    def test_progress_events_carry_unit_and_counts(self, tmp_path):
+        stream = EventStream(record_trace=False)
         calls = []
-        run_campaign(
-            self.spec(),
-            root=tmp_path,
-            scheduler="serial",
-            progress=lambda unit_id, done, pending: calls.append(
-                (unit_id, done, pending)
-            ),
-        )
+        stream.subscribe(lambda event: calls.append(event.fields))
+        run_campaign(self.spec(), root=tmp_path, scheduler="serial", events=stream)
         assert len(calls) == 1
-        unit_id, done, total = calls[0]
-        assert done == 1 and total == 1  # third arg: units pending at start
-        assert len(unit_id) == 16  # the unit's deterministic digest id
+        fields = calls[0]
+        assert fields["done"] == 1 and fields["pending"] == 1  # pending at start
+        assert len(fields["unit_id"]) == 16  # the unit's deterministic digest id
 
     def test_event_stream_receives_campaign_progress(self, tmp_path):
         stream = EventStream(record_trace=False)

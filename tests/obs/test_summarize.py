@@ -143,10 +143,9 @@ class TestCampaignDigestStability:
     def test_parallel_campaign_digest_is_worker_count_invariant(self, tmp_path):
         """The stripped digest must not depend on the schedule.
 
-        Two process-sharded runs with different worker counts must digest
-        identically (ids, pids and timings are stripped; the wave/shard
-        structure is deterministic), and the campaign-level span structure
-        must match the serial reference run's.
+        Serial, 2-worker and 3-worker runs execute the same wave plan, so
+        they must digest identically (ids, pids and timings are stripped;
+        the wave/shard/task structure is deterministic).
         """
         two = self.run_traced(tmp_path, "w2", scheduler="process", max_workers=2)
         three = self.run_traced(tmp_path, "w3", scheduler="process", max_workers=3)
@@ -154,22 +153,14 @@ class TestCampaignDigestStability:
 
         doc_two = summarize_trace(str(two))
         doc_three = summarize_trace(str(three))
-        assert doc_two["digest"] == doc_three["digest"]
+        doc_serial = summarize_trace(str(serial))
+        assert doc_two["digest"] == doc_three["digest"] == doc_serial["digest"]
         assert doc_two["n_processes"] >= 2
-        phases = {row["phase"] for row in doc_two["phases"]}
-        assert {"campaign.run", "campaign.wave", "campaign.shard",
-                "campaign.unit", "sched.task"} <= phases
-
-        def campaign_units_digest(path):
-            records, _ = load_trace(str(path))
-            return trace_digest([
-                r for r in records
-                if r.get("name") in ("campaign.shard", "campaign.unit")
-            ])
-
-        # The serial run has no waves/tasks, but the shard/unit structure
-        # it traces is the reference the parallel schedules must hit.
-        assert campaign_units_digest(two) == campaign_units_digest(serial)
+        assert doc_serial["n_processes"] == 1
+        for document in (doc_two, doc_serial):
+            phases = {row["phase"] for row in document["phases"]}
+            assert {"campaign.run", "campaign.wave", "campaign.shard",
+                    "campaign.unit", "sched.task"} <= phases
 
 
 def test_module_leaves_the_null_recorder_installed():

@@ -112,7 +112,7 @@ class TestCampaignKnob:
 
     def test_campaign_run_emits_the_bundle(self, tmp_path):
         spec = _guardband_spec("emit", governor_bundle=True)
-        report = run_campaign(spec, root=tmp_path, use_processes=False)
+        report = run_campaign(spec, root=tmp_path, scheduler="serial")
         store = CampaignStore(spec.name, tmp_path)
         path = bundle_path(store)
         assert report.governor_bundle == str(path)
@@ -132,7 +132,7 @@ class TestCampaignKnob:
             sweep="fvm",
             runs_per_step=2,
         )
-        run_campaign(spec, root=tmp_path, use_processes=False)
+        run_campaign(spec, root=tmp_path, scheduler="serial")
         with pytest.raises(CharacterizationError):
             GovernorBundle.from_campaign(CampaignStore(spec.name, tmp_path))
 

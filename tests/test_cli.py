@@ -1,5 +1,7 @@
 """Tests for the ``repro-undervolt`` command-line interface."""
 
+import contextlib
+import io
 import json
 
 import pytest
@@ -41,6 +43,25 @@ class TestParser:
         assert args.platform == "VC707"
         assert args.runs == 11
         assert args.pattern == "FFFF"
+
+
+class TestBadFlagValues:
+    """An unusable flag value fails as one ``error:`` line naming the flag."""
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["campaign", "run", "--preset", "fleet16-fast", "--jobs", "0"], "--jobs"),
+        (["runtime", "scale", "--dies", "0"], "--dies"),
+        (["sweep", "--pattern", "XYZ"], "--pattern"),
+        (["sweep", "--runs", "0"], "--runs"),
+        (["runtime", "run", "--steps", "-1"], "--steps"),
+    ])
+    def test_fails_with_one_error_line(self, capsys, monkeypatch, tmp_path, argv, flag):
+        monkeypatch.chdir(tmp_path)  # the default campaign root is relative
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert flag in err
+        assert not list(tmp_path.iterdir())  # rejected before any work
 
 
 class TestGuardbandCommand:
@@ -236,6 +257,55 @@ class TestStoreVersionGoldens:
         )
         golden("campaign_report_fleet16_fast", report_v1)
         golden("runtime_run_campaign_fleet16_fast", runtime_v1)
+
+
+def _cli_document(argv):
+    """Run the CLI outside ``capsys`` (usable from wider-scoped fixtures)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    return strip_timing(json.loads(out.getvalue()))
+
+
+def _campaign_documents(root, jobs, scheduler, store_version):
+    """fleet16-fast's run, report and runtime documents, stripped of the
+    blocks that name the configuration (timing, backend, workers, store)."""
+    root = str(root)
+    run = _cli_document([
+        "campaign", "run", "--preset", "fleet16-fast", "--root", root,
+        "--jobs", str(jobs), "--backend", scheduler,
+        "--store-version", str(store_version), "--json",
+    ])
+    for key in ("backend", "n_workers", "store"):
+        run.pop(key)
+    report = _cli_document([
+        "campaign", "report", "--name", "fleet16-fast", "--root", root, "--json",
+    ])
+    report.pop("store")
+    runtime = _cli_document([
+        "runtime", "run", "--campaign", "fleet16-fast", "--root", root, "--json",
+    ])
+    return json.dumps([run, report, runtime], sort_keys=True)
+
+
+class TestWorkerCountInvariance:
+    """Campaign documents are a function of the spec, not of the schedule:
+    ``evaluations`` and ``executed_unit_ids`` included, every worker count
+    and scheduler yields the same bytes, in either store layout."""
+
+    @pytest.fixture(scope="class")
+    def reference(self, tmp_path_factory):
+        return _campaign_documents(tmp_path_factory.mktemp("reference"), 1, "serial", 1)
+
+    @pytest.mark.parametrize("store_version", [1, 2])
+    @pytest.mark.parametrize("jobs,scheduler", [
+        (1, "serial"), (1, "process"), (2, "process"), (3, "process"), (2, "thread"),
+    ])
+    def test_documents_do_not_depend_on_worker_count(
+        self, tmp_path, reference, jobs, scheduler, store_version
+    ):
+        documents = _campaign_documents(tmp_path, jobs, scheduler, store_version)
+        assert documents == reference
 
 
 class TestTimingSegregation:

@@ -76,7 +76,7 @@ class TestFleetPercentileGoldens:
             sweep="guardband",
             runs_per_step=2,
         )
-        run_campaign(spec, root=tmp_path, use_processes=False)
+        run_campaign(spec, root=tmp_path, scheduler="serial")
         report = build_report(CampaignStore(spec.name, tmp_path), spec)
         payload = {
             metric: distribution.as_dict()
