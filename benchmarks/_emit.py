@@ -20,7 +20,7 @@ The contract ``tools/check_bench_regression.py`` enforces:
 Keep emission one call at the end of a benchmark body::
 
     from _emit import emit_json
-    emit_json("fleet_batch", {"sequential_backend_calls": 224, ...})
+    emit_json("exec_engine", {"recorded_evaluations": 28, "replay_served": 28, ...})
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ the low-vulnerable BRAMs run out) as the ablation benchmarks/bench_ablation_icbp
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional, Sequence, Tuple
 

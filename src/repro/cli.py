@@ -176,7 +176,6 @@ def _add_backend_arguments(
     parser: argparse.ArgumentParser,
     default: str = "serial",
     replay: bool = False,
-    batch_flag: bool = False,
 ) -> None:
     """The execution-layer knobs: ``--backend`` and ``--jobs``.
 
@@ -184,10 +183,6 @@ def _add_backend_arguments(
     simulated backend (results are bit-identical across all three; see
     docs/architecture.md); ``replay``, where offered, serves every
     evaluation from a recorded store instead of the fault model.
-    ``batch_flag`` additionally offers ``--no-batch``, which disables
-    cross-request batching in the execution engine — results are
-    bit-identical either way (see docs/batched_eval.md), so the flag
-    exists for A/B verification and crossing-count comparisons.
     """
     choices = list(SCHEDULERS) + (["replay"] if replay else [])
     parser.add_argument(
@@ -207,15 +202,6 @@ def _add_backend_arguments(
         help="worker threads/processes for the parallel backends "
         "(default: CPU count when --backend is thread/process, else 1)",
     )
-    if batch_flag:
-        parser.add_argument(
-            "--no-batch",
-            dest="batch",
-            action="store_false",
-            default=True,
-            help="disable batched backend evaluation (one engine->backend "
-            "crossing per request; bit-identical, slower)",
-        )
     if replay:
         parser.add_argument(
             "--replay-store",
@@ -249,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_platform_argument(guardband)
     _add_json_argument(guardband)
     _add_search_argument(guardband, default="adaptive")
-    _add_backend_arguments(guardband, replay=True, batch_flag=True)
+    _add_backend_arguments(guardband, replay=True)
     _add_obs_arguments(guardband)
     guardband.add_argument(
         "--runs",
@@ -263,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_platform_argument(sweep)
     _add_json_argument(sweep)
     _add_search_argument(sweep, default="adaptive")
-    _add_backend_arguments(sweep, replay=True, batch_flag=True)
+    _add_backend_arguments(sweep, replay=True)
     _add_obs_arguments(sweep)
     sweep.add_argument("--runs", type=int, default=11, help="read-back repetitions per voltage step")
     sweep.add_argument("--pattern", default="FFFF", help="initial BRAM data pattern (e.g. FFFF, AAAA)")
@@ -505,14 +491,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="worker threads for engine-backed queries (FVM sweeps)",
     )
-    serve.add_argument(
-        "--no-batch",
-        dest="batch",
-        action="store_false",
-        default=True,
-        help="serve FVM ladders one engine->backend crossing per voltage "
-        "instead of one batched kernel call (bit-identical, slower)",
-    )
     _add_obs_arguments(serve)
 
     trace = subparsers.add_parser(
@@ -594,7 +572,6 @@ def _single_board_experiment(
     :class:`~repro.exec.ReplayBackend` over ``--replay-store``.
     """
     chip = FpgaChip.build(args.platform)
-    batch = getattr(args, "batch", True)
     if args.backend == "replay":
         if not args.replay_store:
             raise ExecError("--backend replay needs --replay-store PATH")
@@ -604,14 +581,13 @@ def _single_board_experiment(
         return UndervoltingExperiment(
             chip,
             runs_per_step=runs_per_step,
-            engine=ExecutionEngine(backend, batch=batch),
+            engine=ExecutionEngine(backend),
         )
     return UndervoltingExperiment(
         chip,
         runs_per_step=runs_per_step,
         scheduler=args.backend,
         jobs=_resolved_jobs(args),
-        batch=batch,
     )
 
 
@@ -1432,13 +1408,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     try:
         if args.store:
             service = FleetService.from_campaign(
-                args.store, args.root,
-                engine_workers=args.engine_workers, batch=args.batch,
+                args.store, args.root, engine_workers=args.engine_workers
             )
         else:
             service = FleetService.from_bundle_file(
-                args.bundle,
-                engine_workers=args.engine_workers, batch=args.batch,
+                args.bundle, engine_workers=args.engine_workers
             )
     except (CampaignError, CharacterizationError, ServiceError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
@@ -1520,7 +1494,7 @@ def _install_observability(args: argparse.Namespace):
 
 
 #: Count flags (by argparse ``dest``) that must be at least 1.
-_COUNT_FLAGS = ("jobs", "runs", "steps", "dies", "sim_jobs")
+_COUNT_FLAGS = ("jobs", "runs", "steps", "dies", "sim_jobs", "engine_workers")
 
 
 def _flag_problem(args: argparse.Namespace) -> Optional[str]:
@@ -1533,6 +1507,9 @@ def _flag_problem(args: argparse.Namespace) -> Optional[str]:
         value = getattr(args, dest, None)
         if value is not None and value < 1:
             return f"--{dest.replace('_', '-')} must be at least 1"
+    capacity_rps = getattr(args, "capacity_rps", None)
+    if capacity_rps is not None and not capacity_rps > 0:
+        return "--capacity-rps must be positive"
     if getattr(args, "pattern", None) is not None:
         try:
             data_pattern(args.pattern, rows=1)

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -275,9 +275,7 @@ class BatchFaultEvaluator:
 
     def sorted_observable_thresholds(self, pattern: "str | int | None") -> np.ndarray:
         """Sorted observable failure voltages for a pattern (cached; do not
-        mutate).  This is the exact array :meth:`chip_counts` bisects, so
-        cross-die kernels that stack it per die reproduce the per-die counts
-        bit-for-bit (see :mod:`repro.harness.fleet`)."""
+        mutate): the exact array :meth:`chip_counts` bisects."""
         return self._sorted_observable(pattern)
 
     # ------------------------------------------------------------------

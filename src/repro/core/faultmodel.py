@@ -25,7 +25,7 @@ chip seed so that:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence
 
 import numpy as np

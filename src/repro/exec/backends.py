@@ -38,7 +38,7 @@ from repro.core.calibration import PlatformCalibration
 from repro.fpga.voltage import DEFAULT_STEP_V, VCCBRAM, VCCINT
 from repro.search import EvalCache, PointEvaluation, point_key
 
-from .request import FVM, PROBE, REGION, EvalRequest, ExecError
+from .request import PROBE, REGION, EvalRequest, ExecError
 
 
 def rail_thresholds(

@@ -49,7 +49,9 @@ class EvalBackend(Protocol):
     ``platform``/``serial`` identify the die, which anchors cache keys;
     ``n_brams`` (may be ``None``) validates cached FVM rows; ``spec()``
     returns a picklable rebuild recipe or ``None`` when process scheduling
-    is impossible; ``evaluate`` answers one request.
+    is impossible; ``evaluate`` answers one request and ``evaluate_batch``
+    answers many in one call, in request order, each result identical to
+    what ``evaluate`` would return for it.
     """
 
     kind: str
@@ -66,6 +68,8 @@ class EvalBackend(Protocol):
     def spec(self) -> Optional[Tuple]: ...
 
     def evaluate(self, request: EvalRequest) -> PointEvaluation: ...
+
+    def evaluate_batch(self, requests: Sequence[EvalRequest]) -> List[PointEvaluation]: ...
 
 
 @dataclass
@@ -182,14 +186,6 @@ def _worker_backend(spec: Tuple) -> Any:
     return backend
 
 
-def _evaluate_spec_chunk(
-    spec: Tuple, requests: Tuple[EvalRequest, ...]
-) -> List[PointEvaluation]:
-    """Process-pool entry point: evaluate one chunk on a worker-local backend."""
-    backend = _worker_backend(spec)
-    return [backend.evaluate(request) for request in requests]
-
-
 def _evaluate_spec_batch(
     spec: Tuple, requests: Tuple[EvalRequest, ...]
 ) -> List[PointEvaluation]:
@@ -223,12 +219,6 @@ class ExecutionEngine:
         Optional shared :class:`EngineCounters` — cache-variant engines
         over one backend pass the root engine's counters here so the
         telemetry of one experiment stays in one place.
-    batch:
-        Whether :meth:`evaluate_many` may answer a pure miss set through
-        the backend's ``evaluate_batch`` capability (one Python crossing
-        per batch instead of one per request).  On by default; results are
-        bit-identical either way, so this knob exists for benchmarking and
-        for the CLI's ``--no-batch`` escape hatch.
     """
 
     def __init__(
@@ -239,10 +229,8 @@ class ExecutionEngine:
         cache: Optional[EvalCache] = None,
         queue_depth: Optional[int] = None,
         counters: Optional[EngineCounters] = None,
-        batch: bool = True,
     ) -> None:
         self.backend = backend
-        self.batch = bool(batch)
         self.work = WorkScheduler(scheduler=scheduler, jobs=jobs, queue_depth=queue_depth)
         self.cache = cache
         self.counters = counters if counters is not None else EngineCounters()
@@ -287,7 +275,6 @@ class ExecutionEngine:
             cache=cache,
             queue_depth=self.work.queue_depth,
             counters=self.counters,
-            batch=self.batch,
         )
 
     def describe(self) -> Dict[str, Any]:
@@ -415,80 +402,52 @@ class ExecutionEngine:
     def _evaluate_misses(self, requests: List[EvalRequest]) -> List[PointEvaluation]:
         """Compute fresh evaluations, scheduling pure batches over workers.
 
-        With batching on, a pure miss set crosses into the backend once per
-        scheduled chunk (``evaluate_batch``) instead of once per request;
-        the ``engine.batch`` span covers the whole batched answer and its
-        ``n`` label counts the requests it settled.
+        A single request, or a miss set holding a hardware-mutating probe,
+        is answered request by request inline.  Any other miss set crosses
+        into the backend through ``evaluate_batch``: once when serial, once
+        per worker chunk otherwise.  The ``engine.batch`` span covers the
+        whole batched answer and its ``n`` label counts the requests it
+        settled.
         """
-        mutating = any(request.kind == PROBE for request in requests)
-        batchable = (
-            self.batch
-            and not mutating
-            and len(requests) > 1
-            and callable(getattr(self.backend, "evaluate_batch", None))
-        )
-
-        if self.work.is_serial or mutating or len(requests) <= 1:
-            if batchable:
-                with obs_trace.span("engine.batch", n=len(requests)):
-                    self.counters.add(backend_calls=1)
-                    return self.backend.evaluate_batch(list(requests))
+        if len(requests) <= 1 or any(request.kind == PROBE for request in requests):
             self.counters.add(backend_calls=len(requests))
             return [self.backend.evaluate(request) for request in requests]
 
-        if self.work.scheduler == "process":
-            spec = self.backend.spec()
-            if spec is None:
-                raise ExecError(
-                    "the process scheduler needs a spec-buildable backend "
-                    "(stock die, default fault field); use the thread "
-                    "scheduler for customized backends"
-                )
-            if batchable:
+        with obs_trace.span("engine.batch", n=len(requests)):
+            if self.work.is_serial:
+                self.counters.add(backend_calls=1)
+                return self.backend.evaluate_batch(requests)
+
+            if self.work.scheduler == "process":
+                spec = self.backend.spec()
+                if spec is None:
+                    raise ExecError(
+                        "the process scheduler needs a spec-buildable backend "
+                        "(stock die, default fault field); use the thread "
+                        "scheduler for customized backends"
+                    )
                 # Exporting the flat fault table to mmap-backed files lets
                 # spawned workers attach instead of rebuilding the cell
                 # population from scratch (fork workers inherit it anyway).
                 share = getattr(self.backend, "share_table", None)
                 if share is not None:
-                    shared_spec = share()
-                    if shared_spec is not None:
-                        spec = shared_spec
+                    spec = share() or spec
                 fn, context = _evaluate_spec_batch, spec
             else:
-                fn, context = _evaluate_spec_chunk, spec
-        elif batchable:
-            fn, context = _evaluate_backend_batch, self.backend
-        else:
-            fn, context = _evaluate_backend_chunk, self.backend
+                fn, context = _evaluate_backend_batch, self.backend
 
-        # Evaluate the first request inline to settle the backend's lazily
-        # built caches (flat table, sorted pattern thresholds) before the
-        # fan-out — threads then share them race-free, and fork-context
-        # workers inherit them for free.
-        if batchable:
-            with obs_trace.span("engine.batch", n=len(requests)):
-                first = self.backend.evaluate(requests[0])
-                # One wide chunk per worker: each is a single crossing.
-                chunks = chunked(requests[1:], self.work.jobs)
-                chunk_results = self.work.map_tasks(
-                    fn, [(context, tuple(chunk)) for chunk in chunks]
-                )
-                self.counters.add(backend_calls=1 + len(chunks))
-        else:
+            # Evaluate the first request inline to settle the backend's
+            # lazily built caches (flat table, sorted pattern thresholds)
+            # before the fan-out — threads then share them race-free, and
+            # fork-context workers inherit them for free.
             first = self.backend.evaluate(requests[0])
-            chunks = chunked(requests[1:], self.work.jobs * 2)
+            # One wide chunk per worker: each is a single crossing.
+            chunks = chunked(requests[1:], self.work.jobs)
             chunk_results = self.work.map_tasks(
                 fn, [(context, tuple(chunk)) for chunk in chunks]
             )
-            self.counters.add(backend_calls=1 + sum(len(c) for c in chunks))
+            self.counters.add(backend_calls=1 + len(chunks))
         return [first] + [point for chunk in chunk_results for point in chunk]
-
-
-def _evaluate_backend_chunk(
-    backend: EvalBackend, requests: Tuple[EvalRequest, ...]
-) -> List[PointEvaluation]:
-    """Thread-pool entry point: evaluate one chunk on the shared backend."""
-    return [backend.evaluate(request) for request in requests]
 
 
 __all__ = ["EngineCounters", "EvalBackend", "ExecutionEngine"]

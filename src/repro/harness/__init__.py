@@ -6,12 +6,6 @@ that produce the data behind every characterization figure in Section II.
 """
 
 from .environment import EnvironmentError_, HeatChamber, TemperatureMonitor
-from .fleet import (
-    FleetDiscoveryResult,
-    FleetDiscoveryStats,
-    FleetProbeKernel,
-    discover_guardband_fleet,
-)
 from .host import HostController, HostError
 from .pmbus import (
     OPERATION_ON,
@@ -36,11 +30,7 @@ from .sweep import AdaptiveGuardbandResult, SweepError, UndervoltingExperiment
 __all__ = [
     "AdaptiveGuardbandResult",
     "EnvironmentError_",
-    "FleetDiscoveryResult",
-    "FleetDiscoveryStats",
-    "FleetProbeKernel",
     "GuardbandMeasurement",
-    "discover_guardband_fleet",
     "HeatChamber",
     "HostController",
     "HostError",

@@ -13,7 +13,7 @@ sweep drivers in :mod:`repro.harness.sweep` are written on top of it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np

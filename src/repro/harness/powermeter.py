@@ -16,7 +16,6 @@ from typing import Dict, Optional
 from repro.core.calibration import PlatformCalibration, get_calibration
 from repro.core.power import RailPowerModel, bram_power_model, vccint_power_model
 from repro.fpga.platform import FpgaChip
-from repro.fpga.voltage import VCCBRAM, VCCINT
 
 
 class PowerMeterError(RuntimeError):

@@ -116,11 +116,9 @@ def guardband_plan(
     returns a :class:`GuardbandPlanOutcome` as the ``StopIteration`` value.
 
     Separating the *plan* (which indices, in which order) from the *probe*
-    (who answers them) is what lets :func:`repro.harness.fleet.\
-discover_guardband_fleet` hold one plan per die open concurrently and
-    answer whole waves of pending probes with a single batched kernel call
-    — while this generator guarantees, by construction, that every die
-    still runs the exact sequential search.
+    (who answers them) keeps the search logic free of engine, cache and
+    hardware concerns: the driver answers each index through the engine,
+    and the plan alone decides what to probe next.
     """
     evaluated: Dict[int, PointEvaluation] = {}
 
@@ -221,9 +219,6 @@ class UndervoltingExperiment:
     #: sweep kinds shard over it; results are scheduler-independent).
     scheduler: str = "serial"
     jobs: int = 1
-    #: Whether the built engine may answer pure miss batches through the
-    #: backend's ``evaluate_batch`` (bit-identical; see ``--no-batch``).
-    batch: bool = True
 
     #: Total operating-point probes this experiment has performed (the
     #: guardband-walk unit of cost; reset it freely between measurements).
@@ -252,9 +247,7 @@ class UndervoltingExperiment:
                 step_v=self.step_v,
                 spec_buildable=not customized,
             )
-            self.engine = ExecutionEngine(
-                backend, scheduler=self.scheduler, jobs=self.jobs, batch=self.batch
-            )
+            self.engine = ExecutionEngine(backend, scheduler=self.scheduler, jobs=self.jobs)
         elif (
             self.engine.platform != self.chip.name
             or self.engine.serial != self.chip.spec.serial_number
@@ -463,11 +456,9 @@ class UndervoltingExperiment:
     ) -> "AdaptiveGuardbandResult":
         """Turn one completed guardband plan into the adaptive result.
 
-        Shared by the sequential driver above and the lockstep fleet driver
-        (:func:`repro.harness.fleet.discover_guardband_fleet`).  Reassembles
-        the sparse walk in descending-voltage order and lets the ordinary
-        detector derive the thresholds from the probed evidence — the
-        certificates guarantee it sees the decisive points.
+        Reassembles the sparse walk in descending-voltage order and lets
+        the ordinary detector derive the thresholds from the probed
+        evidence — the certificates guarantee it sees the decisive points.
         """
         result = SweepResult(platform=self.chip.name, rail=rail, pattern=pattern_text)
         observations = []

@@ -27,15 +27,6 @@ from .fixedpoint import (
     zero_bit_fraction,
 )
 from .inference import InferenceError, QuantizedLayer, QuantizedNetwork
-from .metrics import (
-    AccuracyDelta,
-    MetricsError,
-    accuracy,
-    classification_error,
-    confusion_matrix,
-    per_class_error,
-    weight_value_sparsity,
-)
 from .model import (
     DenseLayer,
     FullyConnectedNetwork,
@@ -49,7 +40,6 @@ from .model import (
 from .train import TrainingConfig, TrainingError, TrainingResult, train_network
 
 __all__ = [
-    "AccuracyDelta",
     "BENCHMARKS",
     "DEFAULT_TOTAL_BITS",
     "Dataset",
@@ -59,7 +49,6 @@ __all__ = [
     "FixedPointFormat",
     "FullyConnectedNetwork",
     "InferenceError",
-    "MetricsError",
     "ModelError",
     "PAPER_TOPOLOGY",
     "SCALED_TOPOLOGY",
@@ -68,16 +57,12 @@ __all__ = [
     "TrainingConfig",
     "TrainingError",
     "TrainingResult",
-    "accuracy",
-    "classification_error",
-    "confusion_matrix",
     "load_benchmark",
     "logsig",
     "logsig_derivative",
     "minimum_digit_bits",
     "minimum_format_for",
     "one_hot_labels",
-    "per_class_error",
     "per_layer_formats",
     "precision_table",
     "softmax",
@@ -85,6 +70,5 @@ __all__ = [
     "synthetic_mnist",
     "synthetic_reuters",
     "train_network",
-    "weight_value_sparsity",
     "zero_bit_fraction",
 ]

@@ -134,12 +134,12 @@ class QuantizedNetwork:
         """Deep copy, used to keep a pristine reference next to a faulty instance."""
         layers = [
             QuantizedLayer(
-                index=l.index,
-                fmt=l.fmt,
-                weight_words=l.weight_words.copy(),
-                biases=l.biases.copy(),
+                index=layer.index,
+                fmt=layer.fmt,
+                weight_words=layer.weight_words.copy(),
+                biases=layer.biases.copy(),
             )
-            for l in self.layers
+            for layer in self.layers
         ]
         return QuantizedNetwork(topology=self.topology, layers=layers)
 

@@ -174,8 +174,10 @@ class FullyConnectedNetwork:
     def copy(self) -> "FullyConnectedNetwork":
         """Deep copy (used before fault injection so the clean model survives)."""
         layers = [
-            DenseLayer(index=l.index, weights=l.weights.copy(), biases=l.biases.copy())
-            for l in self.layers
+            DenseLayer(
+                index=layer.index, weights=layer.weights.copy(), biases=layer.biases.copy()
+            )
+            for layer in self.layers
         ]
         return FullyConnectedNetwork(topology=self.topology, layers=layers)
 

@@ -153,36 +153,33 @@ def summarize_trace(path: str) -> Dict[str, Any]:
 def _batching_block(spans: List[Dict[str, Any]]) -> Dict[str, Any]:
     """How much evaluation rode batched kernel crossings in this trace.
 
-    ``engine.batch`` and ``fleet.wave`` spans carry an ``n`` label counting
-    the requests one crossing settled; ``sched.task`` and ``engine.evaluate``
-    are the unbatched units of work.  The headline ratio —
-    ``sched.task`` spans per ``engine.batch`` span — reads as "tasks each
-    batched crossing replaced"; ``None`` when the trace has no batch spans
-    (batching off, or a probe-only flow that never batches).
+    ``engine.batch`` spans carry an ``n`` label counting the requests one
+    crossing settled; ``sched.task`` and ``engine.evaluate`` are the
+    unbatched units of work.  The headline ratio — ``sched.task`` spans per
+    ``engine.batch`` span — reads as "tasks each batched crossing
+    replaced"; ``None`` when the trace has no batch spans (a probe-only or
+    single-request flow never batches).
     """
-    counts = {"engine.batch": 0, "fleet.wave": 0, "sched.task": 0, "engine.evaluate": 0}
+    counts = {"engine.batch": 0, "sched.task": 0, "engine.evaluate": 0}
     batched_requests = 0
     for span in spans:
         name = span.get("name")
         if name not in counts:
             continue
         counts[name] += 1
-        if name in ("engine.batch", "fleet.wave"):
+        if name == "engine.batch":
             try:
                 batched_requests += int((span.get("labels") or {}).get("n", 0))
             except (TypeError, ValueError):
                 pass
-    n_batched = counts["engine.batch"] + counts["fleet.wave"]
+    n_batched = counts["engine.batch"]
     return {
-        "n_batch_spans": counts["engine.batch"],
-        "n_wave_spans": counts["fleet.wave"],
+        "n_batch_spans": n_batched,
         "n_sched_tasks": counts["sched.task"],
         "n_inline_evaluations": counts["engine.evaluate"],
         "batched_requests": batched_requests,
         "sched_tasks_per_batch": (
-            round(counts["sched.task"] / counts["engine.batch"], 4)
-            if counts["engine.batch"]
-            else None
+            round(counts["sched.task"] / n_batched, 4) if n_batched else None
         ),
         "requests_per_batch": (
             round(batched_requests / n_batched, 4) if n_batched else None
@@ -192,12 +189,10 @@ def _batching_block(spans: List[Dict[str, Any]]) -> Dict[str, Any]:
 
 def _render_batching_line(batching: Dict[str, Any]) -> str:
     """One batching line for the text table (the sched.task/engine.batch ratio)."""
-    n_batched = batching.get("n_batch_spans", 0) + batching.get("n_wave_spans", 0)
-    if not n_batched:
-        return "batching: no batched crossings (off, or probe-only flow)"
+    if not batching.get("n_batch_spans"):
+        return "batching: no batched crossings (probe-only or single-request flow)"
     parts = [
-        f"batching: {batching['n_batch_spans']} engine.batch + "
-        f"{batching['n_wave_spans']} fleet.wave spans settled "
+        f"batching: {batching['n_batch_spans']} engine.batch spans settled "
         f"{batching['batched_requests']} requests"
     ]
     if batching.get("sched_tasks_per_batch") is not None:

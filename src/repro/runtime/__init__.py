@@ -21,7 +21,6 @@ from .characterization import (
     GovernorBundle,
     bundle_path,
     characterize_die,
-    characterize_fleet,
     write_governor_bundle,
 )
 from .governor import (
@@ -101,7 +100,6 @@ __all__ = [
     "ceil_to_resolution",
     "chamber_temperature_path",
     "characterize_die",
-    "characterize_fleet",
     "compile_accelerator",
     "diurnal_trace",
     "merge_timelines",

@@ -167,10 +167,19 @@ def characterize_die(
     experiment = UndervoltingExperiment(
         chip, runs_per_step=runs_per_step, engine=engine
     )
-    outcome = experiment.discover_guardband_adaptive(
+    measurement = experiment.discover_guardband_adaptive(
         rail=VCCBRAM, probe_runs=runs_per_step, cache=cache, warm=warm
+    ).measurement
+    calibration = get_calibration(chip.spec)
+    return DieCharacterization(
+        platform=chip.name,
+        serial=chip.spec.serial_number,
+        vnom_v=measurement.nominal_v,
+        vmin_v=measurement.vmin_v,
+        vcrash_v=measurement.vcrash_v,
+        itd_v_per_degc=calibration.itd_v_per_degc,
+        ripple_margin_v=6.0 * calibration.ripple_sigma_v,
     )
-    return _die_from_outcome(chip, outcome)
 
 
 def _characterize_stock_die(
@@ -180,50 +189,6 @@ def _characterize_stock_die(
     return characterize_die(
         FpgaChip.build(platform, serial=serial), runs_per_step=runs_per_step
     )
-
-
-def _die_from_outcome(chip: FpgaChip, outcome: Any) -> DieCharacterization:
-    """The governor-facing record for one completed guardband discovery."""
-    calibration = get_calibration(chip.spec)
-    return DieCharacterization(
-        platform=chip.name,
-        serial=chip.spec.serial_number,
-        vnom_v=outcome.measurement.nominal_v,
-        vmin_v=outcome.measurement.vmin_v,
-        vcrash_v=outcome.measurement.vcrash_v,
-        itd_v_per_degc=calibration.itd_v_per_degc,
-        ripple_margin_v=6.0 * calibration.ripple_sigma_v,
-    )
-
-
-def characterize_fleet(
-    chips: "List[FpgaChip]",
-    runs_per_step: int = 3,
-    warm: Optional[WarmStartModel] = None,
-) -> List[DieCharacterization]:
-    """Characterize many live chips in batched lockstep (one kernel per wave).
-
-    The cross-die fast path of :func:`characterize_die`: every die's
-    certified bisection advances one step per
-    :class:`~repro.harness.FleetProbeKernel` call instead of one
-    engine→backend crossing per probe per die (see
-    ``docs/batched_eval.md``).  Measurements are bit-identical to the
-    die-by-die loop with the same warm hints; cold fleets match the
-    parallel schedulers' cold characterizations exactly.
-    """
-    from repro.harness import discover_guardband_fleet
-
-    experiments = {
-        index: UndervoltingExperiment(chip, runs_per_step=runs_per_step)
-        for index, chip in enumerate(chips)
-    }
-    discovery = discover_guardband_fleet(
-        experiments, rail=VCCBRAM, probe_runs=runs_per_step, warm=warm
-    )
-    return [
-        _die_from_outcome(chips[index], discovery.results[index])
-        for index in range(len(chips))
-    ]
 
 
 # ----------------------------------------------------------------------
@@ -342,21 +307,11 @@ class GovernorBundle:
         their ``(platform, serial)`` identity and therefore expects
         stock-built chips (exactly what the CLI and ``fleet_serials``
         produce).
-
-        ``scheduler="fleet"`` keeps everything in one process but advances
-        every die's bisection in batched lockstep — one vectorized kernel
-        call per fleet-wide wave (:func:`characterize_fleet`); like the
-        parallel schedulers it runs every die cold, so its bundle is
-        bit-identical too.
         """
         from repro.exec import WorkScheduler
         from repro.fpga.voltage import DEFAULT_STEP_V
 
         bundle = cls(source=source)
-        if scheduler == "fleet":
-            for die in characterize_fleet(chips, runs_per_step=runs_per_step):
-                bundle.add(die)
-            return bundle
         work = WorkScheduler(scheduler=scheduler, jobs=jobs)
         if work.is_serial:
             warm = WarmStartModel(step_v=DEFAULT_STEP_V)

@@ -26,7 +26,7 @@ A thousand-step, 16-chip simulation completes in seconds, and the produced
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np

@@ -26,7 +26,6 @@ from .bisect import (
     exhaustive_first_false,
 )
 from .cache import CACHE_VERSION, EvalCache, PointEvaluation, SearchError, point_key
-from .fleet import FleetBisector
 from .outcome import (
     SEARCH_MODES,
     SearchReport,
@@ -41,7 +40,6 @@ __all__ = [
     "CACHE_VERSION",
     "CertificateEntry",
     "EvalCache",
-    "FleetBisector",
     "PointEvaluation",
     "SEARCH_MODES",
     "SearchError",

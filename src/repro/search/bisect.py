@@ -26,7 +26,7 @@ hint can cost evaluations but can never change the answer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro.obs import trace as obs_trace

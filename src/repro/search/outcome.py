@@ -11,7 +11,7 @@ benchmark sums into its >= 5x claim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Mapping, Tuple
 
 from .bisect import BisectionCertificate

@@ -132,11 +132,6 @@ class FleetService:
         concurrently computing dies).
     fvm_pattern:
         Memory test pattern the FVM sweeps write.
-    batch:
-        Whether per-die engines batch their misses into one backend
-        crossing (the default; an FVM ladder becomes a single vectorized
-        kernel call).  ``False`` evaluates request by request —
-        bit-identical, kept for A/B verification.
     """
 
     def __init__(
@@ -145,14 +140,12 @@ class FleetService:
         source: Optional[str] = None,
         engine_workers: int = DEFAULT_ENGINE_WORKERS,
         fvm_pattern: "str | int" = DEFAULT_FVM_PATTERN,
-        batch: bool = True,
     ) -> None:
         if engine_workers < 1:
             raise ServiceError(500, "bad-config", "engine_workers must be at least 1")
         self.bundle = bundle
         self.source = source if source is not None else bundle.source
         self.fvm_pattern = fvm_pattern
-        self.batch = batch
         #: One thread-safe counters object shared by every per-die engine —
         #: the fleet-wide backend telemetry ``/stats`` reports.
         self.counters = EngineCounters()
@@ -212,7 +205,6 @@ class FleetService:
                 SimulatedBackend(chip=chip),
                 cache=EvalCache(platform=die.platform, serial=die.serial),
                 counters=self.counters,
-                batch=self.batch,
             )
             self._engines[die.chip_key] = engine
         return engine
@@ -586,7 +578,9 @@ class ServiceApp:
             writer.close()
             try:
                 await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
+            except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
+                # Shutdown cancels handlers still waiting here; letting the
+                # cancellation escape makes asyncio print a traceback.
                 pass
 
 

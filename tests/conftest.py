@@ -22,6 +22,16 @@ from pathlib import Path
 
 import pytest
 
+from repro.core import FaultField
+from repro.fpga import FpgaChip
+from repro.nn import (
+    QuantizedNetwork,
+    TrainingConfig,
+    synthetic_forest,
+    synthetic_mnist,
+    train_network,
+)
+
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
@@ -99,16 +109,6 @@ def golden(request):
             assert expected == actual, f"{where}: {actual!r} != golden {expected!r}"
 
     return check
-
-from repro.core import FaultField
-from repro.fpga import FpgaChip
-from repro.nn import (
-    QuantizedNetwork,
-    TrainingConfig,
-    synthetic_forest,
-    synthetic_mnist,
-    train_network,
-)
 
 
 @pytest.fixture(scope="session")

@@ -1,21 +1,21 @@
 """Property tests for batched evaluation: one kernel crossing, same answers.
 
-``evaluate_batch`` must be observationally indistinguishable from a
-sequential ``evaluate`` loop.  Asserted over randomized batches:
+``evaluate_batch`` must be observationally indistinguishable from
+request-by-request ``evaluate``.  Asserted over randomized batches:
 
 * **backend equivalence** — ``SimulatedBackend.evaluate_batch`` returns the
   exact evaluation list of a per-request loop for any mix of kinds
   (probes included: they fall back to the inline probe path);
-* **batch-flag invariance** — ``ExecutionEngine.evaluate_many`` produces
-  identical results and identical cache/dedup telemetry with batching on
-  and off, over cold and pre-warmed caches, duplicate-heavy batches and
-  the serial/thread/process schedulers;
+* **engine equivalence** — ``ExecutionEngine.evaluate_many`` returns what
+  request-by-request ``backend.evaluate`` returns, with consistent
+  cache/dedup telemetry, over cold and pre-warmed caches, duplicate-heavy
+  batches and the serial/thread/process schedulers;
 * **replay equivalence** — a :class:`~repro.exec.ReplayBackend` answers
   batches with the same points its per-request path serves, and misses
   raise the same error instead of silently recomputing;
 * **telemetry** — batching only ever *reduces* ``n_backend_calls``; the
-  golden-pinned counters (requests, hits, evaluations, dedup) are
-  untouched.
+  golden-pinned counters (requests, hits, evaluations, dedup) count
+  requests, not crossings.
 """
 
 import hypothesis.strategies as st
@@ -88,6 +88,11 @@ class TestBackendBatchEquivalence:
         assert backend().n_kernel_batches == before + 1
 
 
+def _identity(request):
+    return (request.kind, request.rail, request.voltage_v, request.temperature_c,
+            request.pattern_text, request.n_runs)
+
+
 class TestEngineBatchFlagInvariance:
     @given(
         requests=mixed_requests(),
@@ -98,40 +103,36 @@ class TestEngineBatchFlagInvariance:
     @settings(max_examples=25, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     def test_batch_flag_changes_nothing_observable(self, requests, scheduler, jobs, warm):
-        reference = ExecutionEngine(backend(), batch=False).evaluate_many(requests)
+        """Batched engine answers equal request-by-request ``evaluate``,
+        whatever the cache held before the batch."""
+        reference = [backend().evaluate(request) for request in requests]
 
-        outcomes = {}
-        for batch in (False, True):
-            cache = EvalCache(platform=backend().platform, serial=backend().serial)
-            # Identical cache pre-warm on both sides: the first `warm`
-            # requests are evaluated (and stored) before the measured batch.
-            warm_engine = ExecutionEngine(backend(), cache=cache, batch=batch)
-            for request in requests[:warm]:
-                warm_engine.evaluate(request)
-            engine = ExecutionEngine(
-                backend(), scheduler=scheduler, jobs=jobs, cache=cache, batch=batch
-            )
-            before = engine.counters.snapshot()
-            results = engine.evaluate_many(requests)
-            outcomes[batch] = (results, engine.counters.since(before))
+        cache = EvalCache(platform=backend().platform, serial=backend().serial)
+        # Pre-warm: the first `warm` requests are evaluated (and stored)
+        # before the measured batch.  A point cached by one kind answers
+        # another kind at the same operating point, and does so with the
+        # same counts a fresh evaluation would give.
+        warm_engine = ExecutionEngine(backend(), cache=cache)
+        for request in requests[:warm]:
+            warm_engine.evaluate(request)
+        unique = {_identity(request): request for request in requests}
+        expected_hits = sum(
+            cache.lookup(r.rail, r.voltage_v, r.temperature_c, r.pattern_text, r.n_runs)
+            is not None
+            for r in unique.values()
+        )
 
-        # The invariance claim: with identical cache state, the batch flag
-        # changes nothing observable.  (Equality with the cache-less
-        # reference additionally requires a cold cache — a pre-warmed probe
-        # can legitimately serve a later pure request at its operating
-        # point, identically in both modes.)
-        assert outcomes[True][0] == outcomes[False][0]
-        if warm == 0:
-            for batch, (results, _delta) in outcomes.items():
-                assert results == reference, f"batch={batch} changed results"
-        off, on = outcomes[False][1], outcomes[True][1]
-        # The golden-pinned counters are batch-invariant ...
-        assert on.n_requests == off.n_requests
-        assert on.n_cache_hits == off.n_cache_hits
-        assert on.n_backend_evaluations == off.n_backend_evaluations
-        assert on.n_deduplicated == off.n_deduplicated
+        engine = ExecutionEngine(backend(), scheduler=scheduler, jobs=jobs, cache=cache)
+        before = engine.counters.snapshot()
+        assert engine.evaluate_many(requests) == reference
+        delta = engine.counters.since(before)
+        # The golden-pinned counters count requests, never crossings ...
+        assert delta.n_requests == len(requests)
+        assert delta.n_deduplicated == len(requests) - len(unique)
+        assert delta.n_cache_hits == expected_hits
+        assert delta.n_backend_evaluations == len(unique) - expected_hits
         # ... and batching can only reduce the Python-level crossings.
-        assert on.n_backend_calls <= off.n_backend_calls
+        assert delta.n_backend_calls <= delta.n_backend_evaluations
 
     @given(
         requests=mixed_requests(max_size=16, voltages=[0.55, 0.56, 0.57]),
@@ -141,14 +142,13 @@ class TestEngineBatchFlagInvariance:
               suppress_health_check=[HealthCheck.too_slow])
     def test_dedup_collisions_survive_batching(self, requests, scheduler):
         """Duplicate-heavy batches (3 voltages, up to 16 requests) dedup
-        identically whether the miss set is batched or not."""
-        reference = ExecutionEngine(backend(), batch=False).evaluate_many(requests)
-        engine = ExecutionEngine(backend(), scheduler=scheduler, jobs=3, batch=True)
+        before the batched crossing and fan the answers back out."""
+        reference = [backend().evaluate(request) for request in requests]
+        engine = ExecutionEngine(backend(), scheduler=scheduler, jobs=3)
         before = engine.counters.snapshot()
         assert engine.evaluate_many(requests) == reference
         delta = engine.counters.since(before)
-        unique = {(r.kind, r.rail, r.voltage_v, r.temperature_c, r.pattern_text, r.n_runs)
-                  for r in requests}
+        unique = {_identity(request) for request in requests}
         assert delta.n_deduplicated == len(requests) - len(unique)
         assert delta.n_backend_evaluations == len(unique)
 
@@ -173,7 +173,7 @@ class TestReplayBatchEquivalence:
         replay = ReplayBackend.from_cache(cache)
         assert replay.evaluate_batch(list(requests)) == recorded
         assert [replay.evaluate(request) for request in requests] == recorded
-        replayed = ExecutionEngine(replay, batch=True).evaluate_many(requests)
+        replayed = ExecutionEngine(replay).evaluate_many(requests)
         assert replayed == recorded
 
     def test_replay_batch_misses_raise_not_recompute(self):
@@ -191,34 +191,31 @@ class TestReplayBatchEquivalence:
 
 @pytest.mark.parametrize("scheduler,jobs", [("serial", 1), ("thread", 4), ("process", 2)])
 def test_batch_flag_invariant_under_every_scheduler(scheduler, jobs):
-    """A full pure ladder answers identically, batch on vs off, on every
-    scheduling substrate (process workers attach the shared mmap table)."""
+    """A full pure ladder answers as request-by-request evaluation does on
+    every scheduling substrate (process workers attach the shared mmap
+    table)."""
     ladder = [round(0.62 - 0.005 * i, 4) for i in range(20)]
     requests = [_request(REGION, v, 50.0, 0xFFFF, 3) for v in ladder] + [
         _request(FVM, v, 50.0, 0xFFFF, 0) for v in ladder[:6]
     ]
-    reference = ExecutionEngine(backend(), batch=False).evaluate_many(requests)
-    for batch in (False, True):
-        chip = FpgaChip.build("ZC702")
-        engine = ExecutionEngine(
-            SimulatedBackend(chip=chip), scheduler=scheduler, jobs=jobs, batch=batch
-        )
-        assert engine.evaluate_many(requests) == reference
+    reference = [backend().evaluate(request) for request in requests]
+    engine = ExecutionEngine(
+        SimulatedBackend(chip=FpgaChip.build("ZC702")), scheduler=scheduler, jobs=jobs
+    )
+    assert engine.evaluate_many(requests) == reference
 
 
 def test_batching_collapses_backend_calls():
     """Serial batched evaluation of n distinct pure misses is ONE crossing."""
     requests = [_request(REGION, round(0.62 - 0.005 * i, 4), 50.0, 0xFFFF, 2)
                 for i in range(24)]
-    on = ExecutionEngine(SimulatedBackend(chip=FpgaChip.build("ZC702")), batch=True)
-    on.evaluate_many(requests)
-    assert on.counters.n_backend_calls == 1
-    assert on.counters.n_backend_evaluations == 24
-
-    off = ExecutionEngine(SimulatedBackend(chip=FpgaChip.build("ZC702")), batch=False)
-    off.evaluate_many(requests)
-    assert off.counters.n_backend_calls == 24
-    # The golden-facing JSON form never carries the new engine telemetry.
-    assert set(on.counters.to_dict()) == {
+    engine = ExecutionEngine(SimulatedBackend(chip=FpgaChip.build("ZC702")))
+    assert engine.evaluate_many(requests) == [
+        backend().evaluate(request) for request in requests
+    ]
+    assert engine.counters.n_backend_calls == 1
+    assert engine.counters.n_backend_evaluations == 24
+    # The golden-facing JSON form never carries the crossing telemetry.
+    assert set(engine.counters.to_dict()) == {
         "n_requests", "n_cache_hits", "n_backend_evaluations", "n_deduplicated"
     }

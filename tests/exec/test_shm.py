@@ -110,11 +110,9 @@ def test_process_scheduled_batches_match_serial(built):
                     temperature_c=50.0, pattern=0xFFFF, n_runs=2)
         for i in range(10)
     ]
-    reference = ExecutionEngine(
-        SimulatedBackend(chip=FpgaChip.build("ZC702")), batch=False
-    ).evaluate_many(requests)
+    backend = SimulatedBackend(chip=FpgaChip.build("ZC702"))
+    reference = [backend.evaluate(request) for request in requests]
     engine = ExecutionEngine(
-        SimulatedBackend(chip=FpgaChip.build("ZC702")),
-        scheduler="process", jobs=2, batch=True,
+        SimulatedBackend(chip=FpgaChip.build("ZC702")), scheduler="process", jobs=2
     )
     assert engine.evaluate_many(requests) == reference

@@ -179,20 +179,18 @@ class TestBatchingBlock:
             span_record("sched.task", "7-4"),
             span_record("engine.batch", "7-5", labels={"n": 24}),
             span_record("engine.batch", "7-6", labels={"n": "16"}),
-            span_record("fleet.wave", "7-7", labels={"n": 10}),
-            span_record("engine.evaluate", "7-8", labels={"kind": "probe"}),
+            span_record("engine.evaluate", "7-7", labels={"kind": "probe"}),
         ])
         batching = summarize_trace(str(path))["batching"]
         assert batching["n_batch_spans"] == 2
-        assert batching["n_wave_spans"] == 1
         assert batching["n_sched_tasks"] == 4
         assert batching["n_inline_evaluations"] == 1
-        assert batching["batched_requests"] == 50
+        assert batching["batched_requests"] == 40
         assert batching["sched_tasks_per_batch"] == 2.0
-        assert batching["requests_per_batch"] == round(50 / 3, 4)
+        assert batching["requests_per_batch"] == 20.0
         table = render_summary_table(summarize_trace(str(path)))
         assert "sched.task/engine.batch ratio 2.0" in table
-        assert "settled 50 requests" in table
+        assert "settled 40 requests" in table
 
     def test_unbatched_trace_reports_off(self, tmp_path):
         from repro.obs.summarize import render_summary_table

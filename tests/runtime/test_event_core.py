@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 
 from repro.analysis.runtime import summarize_telemetry
 from repro.core.calibration import get_calibration
-from repro.fpga.platform import fleet_serials
 from repro.runtime import (
     POLICY_NAMES,
     FleetSimulator,

@@ -1,6 +1,8 @@
 """Unit tests for certified bracketing + bisection."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.search import (
     BisectionCertificate,
@@ -199,3 +201,44 @@ class TestCertificateVerification:
         assert document["boundary_voltage_above"] == self.LADDER[4]
         assert document["boundary_voltage_below"] == self.LADDER[5]
         assert document["evaluated_indices"] == [4, 5]
+
+
+@st.composite
+def boundary_cases(draw):
+    n = draw(st.integers(min_value=1, max_value=60))
+    boundary = draw(st.integers(min_value=0, max_value=n))
+    hint_above = draw(st.one_of(st.none(), st.integers(min_value=0, max_value=n - 1)))
+    hint_below = draw(st.one_of(st.none(), st.integers(min_value=0, max_value=n - 1)))
+    return n, boundary, hint_above, hint_below
+
+
+class TestSearchStepsGenerator:
+    """``search_steps`` is the generator form of ``find_first_false``: driving
+    it by hand (answering each yielded index at once) yields the identical
+    certificate for random boundaries and random, possibly wrong, hints."""
+
+    @given(case=boundary_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_hand_driven_generator_equals_sequential_driver(self, case):
+        n, boundary, hint_above, hint_below = case
+        ladder = ladder_of(n)
+
+        def probe(index):
+            return index < boundary, False
+
+        hint = BracketHint(
+            above_v=None if hint_above is None else ladder[hint_above],
+            below_v=None if hint_below is None else ladder[hint_below],
+        )
+        sequential = ThresholdBisector(ladder, probe).find_first_false("vmin", hint)
+
+        steps = ThresholdBisector(ladder).search_steps("vmin", hint)
+        try:
+            index = next(steps)
+            while True:
+                index = steps.send(probe(index))
+        except StopIteration as stop:
+            generated = stop.value
+        assert generated == sequential
+        assert generated.boundary_index == boundary
+        assert generated.verify()

@@ -54,6 +54,10 @@ class TestBadFlagValues:
         (["sweep", "--pattern", "XYZ"], "--pattern"),
         (["sweep", "--runs", "0"], "--runs"),
         (["runtime", "run", "--steps", "-1"], "--steps"),
+        (["serve", "--bundle", "absent.json", "--engine-workers", "0"],
+         "--engine-workers"),
+        (["runtime", "run", "--capacity-rps", "0"], "--capacity-rps"),
+        (["runtime", "scale", "--capacity-rps", "-5"], "--capacity-rps"),
     ])
     def test_fails_with_one_error_line(self, capsys, monkeypatch, tmp_path, argv, flag):
         monkeypatch.chdir(tmp_path)  # the default campaign root is relative
@@ -918,34 +922,3 @@ class TestTraceSummarizeCommand:
         path.write_text('garbage\n{"kind":"span","name":"a"}\n')
         assert main(["trace", "summarize", str(path)]) == 2
         assert "malformed record" in capsys.readouterr().err
-
-
-class TestNoBatchFlag:
-    """``--no-batch`` changes crossing counts, never a single answer."""
-
-    def test_parser_defaults_batch_on(self):
-        assert build_parser().parse_args(["guardband"]).batch is True
-        assert build_parser().parse_args(["sweep", "--no-batch"]).batch is False
-        assert build_parser().parse_args(
-            ["serve", "--bundle", "x.json", "--no-batch"]
-        ).batch is False
-
-    def test_sweep_documents_identical_batch_on_and_off(self, capsys):
-        batched = strip_timing(run_json(
-            capsys, ["sweep", "--platform", "ZC702", "--runs", "2", "--json"]
-        ))
-        unbatched = strip_timing(run_json(
-            capsys,
-            ["sweep", "--platform", "ZC702", "--runs", "2", "--json", "--no-batch"],
-        ))
-        assert batched == unbatched
-
-    def test_guardband_documents_identical_batch_on_and_off(self, capsys):
-        batched = strip_timing(run_json(
-            capsys, ["guardband", "--platform", "ZC702", "--runs", "2", "--json"]
-        ))
-        unbatched = strip_timing(run_json(
-            capsys,
-            ["guardband", "--platform", "ZC702", "--runs", "2", "--json", "--no-batch"],
-        ))
-        assert batched == unbatched

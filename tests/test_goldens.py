@@ -14,8 +14,6 @@ bisection certificates guarantee it equals the exhaustive walk, so this
 file simultaneously pins the paper numbers and the equivalence contract.
 """
 
-import pytest
-
 from repro.campaign import CampaignSpec, CampaignStore, ChipGroup, build_report, run_campaign
 from repro.fpga import FpgaChip, platform_names
 from repro.harness import UndervoltingExperiment
